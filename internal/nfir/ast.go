@@ -162,6 +162,11 @@ func (DropStmt) irStmt() {}
 
 // Program is one NF's stateless packet-processing code plus the names of
 // the stateful data structures it uses.
+//
+// A Program must not be mutated after it has run on an Env: the Env
+// lowers the body on its first Run and keeps that code. Assigning a new
+// Body slice is safe, since the cache is keyed by the slice as well as
+// the *Program; editing statements inside a Body that has run is not.
 type Program struct {
 	// Name identifies the NF in contracts and reports.
 	Name string

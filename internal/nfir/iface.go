@@ -57,7 +57,9 @@ type Action struct {
 // and for soundness checks).
 type ConcreteDS interface {
 	// Invoke runs a method. It must charge env.Meter for its cost and
-	// add observed PCV values via env.ObservePCV.
+	// add observed PCV values via env.ObservePCV. args is the Env's
+	// scratch slice, valid only for the duration of the call: an
+	// implementation that keeps arguments must copy them.
 	Invoke(method string, args []uint64, env *Env) ([]uint64, error)
 }
 

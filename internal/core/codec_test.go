@@ -300,10 +300,10 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"unknown sharing":   mutate(`"sharing":"local"`, `"sharing":"lokal"`),
 		"orphaned reason":   mutate(`"sharing":"local","sharing_reason":"key pins the flow-hash fields"`, `"sharing_reason":"key pins the flow-hash fields"`),
 		// Version 1 does not define the shard fields; an artifact that
-		// declares version 1 but smuggles them in must fail the
-		// canonicality gate (re-encoding at version 1 strips them).
+		// declares version 1 but smuggles them in is not canonical
+		// (encoding at version 1 strips them).
 		"downgraded version smuggles shard fields": mutate(`"version":2`, `"version":1`),
-		"witness omitted": mutate(`,"witness":null`, ``),
+		"witness omitted":                          mutate(`,"witness":null`, ``),
 	}
 	for name, data := range cases {
 		if _, err := DecodeArtifact(data); err == nil {
@@ -371,17 +371,27 @@ func FuzzContractCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1)
-	// A version-1 envelope smuggling version-2 fields (canonicality gate
-	// must reject it).
+	// A version-1 envelope smuggling version-2 fields (not canonical;
+	// must be rejected).
 	f.Add(bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":1`), 1))
 	f.Add([]byte(`{"format":"gobolt-contract","version":1,"contract":{"nf":"m","level":"","paths":[]}}`))
 	f.Add([]byte(`{"format":"gobolt-contract","version":9,"contract":null}`))
 	f.Add(valid[:len(valid)/3])
 	f.Add(bytes.ToUpper(valid))
+	// Real artifacts: the version-1 NAT a pre-shard build wrote, and a
+	// composed 4-stage chain.
+	f.Add(natGoldenV1(f))
+	f.Add(mustEncode(f, composedChainArtifact(f, 4)))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The decoder accepts exactly what the encoding/json oracle
+		// accepts, decodes it to the same artifact, and both encoders
+		// write the accepted bytes back unchanged.
+		if !CheckDecodeAgainstOracle(t, data) {
+			return // rejected is always a fine outcome for fuzz input
+		}
 		a, err := DecodeArtifact(data)
 		if err != nil {
-			return // rejected is always a fine outcome for fuzz input
+			t.Fatalf("accepted input no longer decodes: %v", err)
 		}
 		// Accepted input must be the canonical encoding of its content:
 		// decode ∘ encode is the identity on everything DecodeArtifact

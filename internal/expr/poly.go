@@ -16,6 +16,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,39 +71,61 @@ func monoFromPowers(pow map[string]int) Mono {
 // ParseMono validates an externally supplied monomial spelling and
 // returns it as a Mono. It accepts exactly the canonical form NewMono
 // produces — factors sorted lexicographically, powers > 1 rendered as
-// "name^k", no duplicate factors — so the contract codec can reject
-// corrupted or non-canonical stored polynomials instead of panicking in
-// Powers. The empty string is the constant monomial.
+// "name^k" with k in canonical decimal, no duplicate factors — so the
+// contract codec can reject corrupted or non-canonical stored
+// polynomials instead of panicking in Powers. The empty string is the
+// constant monomial. It does not allocate.
 func ParseMono(s string) (Mono, error) {
 	if s == "" {
 		return ConstMono, nil
 	}
-	pow := make(map[string]int)
 	prev := ""
-	for _, f := range strings.Split(s, "*") {
-		name, k := f, 1
-		if i := strings.IndexByte(f, '^'); i >= 0 {
-			name = f[:i]
-			var err error
-			k, err = strconv.Atoi(f[i+1:])
-			if err != nil || k < 2 {
-				return ConstMono, fmt.Errorf("expr: malformed monomial factor %q in %q", f, s)
-			}
-		}
-		if name == "" || strings.ContainsAny(name, "*^") {
+	for rest := s; ; {
+		f, tail, more := strings.Cut(rest, "*")
+		name, k, hasPow := strings.Cut(f, "^")
+		if name == "" || (hasPow && !canonicalPower(k)) {
 			return ConstMono, fmt.Errorf("expr: malformed monomial factor %q in %q", f, s)
 		}
-		if prev != "" && name <= prev {
+		if name <= prev {
 			return ConstMono, fmt.Errorf("expr: non-canonical monomial %q (factors unsorted or repeated)", s)
 		}
-		prev = name
-		pow[name] = k
+		if !more {
+			return Mono(s), nil
+		}
+		prev, rest = name, tail
 	}
-	m := monoFromPowers(pow)
-	if string(m) != s {
-		return ConstMono, fmt.Errorf("expr: non-canonical monomial %q", s)
+}
+
+// canonicalPower reports whether k spells an exponent the way
+// monoFromPowers renders one: a decimal int ≥ 2 without sign or leading
+// zeros.
+func canonicalPower(k string) bool {
+	if k == "" || k[0] == '0' || (len(k) == 1 && k[0] == '1') {
+		return false
 	}
-	return m, nil
+	for i := 0; i < len(k); i++ {
+		if k[i] < '0' || k[i] > '9' {
+			return false
+		}
+	}
+	_, err := strconv.Atoi(k)
+	return err == nil
+}
+
+// nextFactor splits the first factor off a canonical monomial spelling:
+// its variable name, its power, and the factors after it. It reads the
+// string in place, so scanning a monomial builds no Powers map.
+func nextFactor(s string) (name string, k int, rest string) {
+	f, rest, _ := strings.Cut(s, "*")
+	name, pow, hasPow := strings.Cut(f, "^")
+	k = 1
+	if hasPow {
+		var err error
+		if k, err = strconv.Atoi(pow); err != nil {
+			panic("expr: malformed monomial " + s)
+		}
+	}
+	return name, k, rest
 }
 
 // Powers decomposes the monomial into its per-variable powers.
@@ -129,7 +152,9 @@ func (m Mono) Powers() map[string]int {
 // Degree is the total degree of the monomial.
 func (m Mono) Degree() int {
 	d := 0
-	for _, k := range m.Powers() {
+	for rest := string(m); rest != ""; {
+		var k int
+		_, k, rest = nextFactor(rest)
 		d += k
 	}
 	return d
@@ -220,6 +245,15 @@ func (p Poly) Coef(m Mono) uint64 { return p.terms[m] }
 // ConstTerm returns the constant coefficient.
 func (p Poly) ConstTerm() uint64 { return p.terms[ConstMono] }
 
+// AppendMonos appends the monomials with non-zero coefficients to dst in
+// no particular order; callers that need an order sort the result.
+func (p Poly) AppendMonos(dst []Mono) []Mono {
+	for m := range p.terms {
+		dst = append(dst, m)
+	}
+	return dst
+}
+
 // Monos returns the monomials with non-zero coefficients, in display order.
 func (p Poly) Monos() []Mono {
 	ms := make([]Mono, 0, len(p.terms))
@@ -232,18 +266,16 @@ func (p Poly) Monos() []Mono {
 
 // Vars returns the sorted set of PCV names appearing in p.
 func (p Poly) Vars() []string {
-	seen := make(map[string]bool)
+	vars := make([]string, 0, len(p.terms))
 	for m := range p.terms {
-		for v := range m.Powers() {
-			seen[v] = true
+		for rest := string(m); rest != ""; {
+			var v string
+			v, _, rest = nextFactor(rest)
+			vars = append(vars, v)
 		}
 	}
-	vars := make([]string, 0, len(seen))
-	for v := range seen {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
+	slices.Sort(vars)
+	return slices.Compact(vars)
 }
 
 // Degree returns the total degree of p (0 for constants and zero).

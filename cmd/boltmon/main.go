@@ -27,8 +27,7 @@
 // with -key the contract MUST come from the store (wrong or missing keys
 // error — no silent regeneration). -shards N fans classification out to
 // N flow-hashed monitor shards over batched ingest (-batch) through
-// per-shard SPSC rings (-queue sets the depth in batches; -noring swaps
-// in the channel + sync.Pool ablation, which never changes the report);
+// per-shard channels (-queue sets the depth in batches);
 // -cpuprofile/-memprofile write pprof profiles of whichever mode ran.
 // -shard-aware additionally prices the N-shard deployment into the
 // checks: cycle bounds include the contract's contention term at N
@@ -78,8 +77,7 @@ func main() {
 		storeDir  = flag.String("store", "", "back contract generation with the on-disk store at this directory (shared with bolt/boltbench/boltctl)")
 		shards    = flag.Int("shards", 0, "flow-hashed monitor shards (0 or 1 = serial pooled path)")
 		batch     = flag.Int("batch", 0, "packets per shard ingest batch in sharded mode (0 = default)")
-		queue     = flag.Int("queue", 0, "per-shard ingest queue depth in batches (0 = default 4; ring rounds to a power of two)")
-		noRing    = flag.Bool("noring", false, "sharded ingest over channels + sync.Pool instead of the SPSC ring (measured ablation; reports are identical)")
+		queue     = flag.Int("queue", 0, "per-shard ingest queue depth in batches (0 = default 4)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		shAware   = flag.Bool("shard-aware", false, "price the -shards deployment into the checks: shard-aware cycle bounds, per-shard budget")
@@ -108,7 +106,6 @@ func main() {
 	sc.MonitorShards = *shards
 	sc.MonitorBatch = *batch
 	sc.MonitorQueue = *queue
-	sc.MonitorNoRing = *noRing
 	var st *store.Store
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)
@@ -167,7 +164,7 @@ func main() {
 	}
 	mcfg := monitor.Config{
 		Metric: m, Budget: *budget, Trigger: *trigger, Clear: *clearN,
-		Shards: *shards, Batch: *batch, Queue: *queue, NoRing: *noRing,
+		Shards: *shards, Batch: *batch, Queue: *queue,
 		ShardAware: *shAware, ClockHz: *clockHz, TargetPPS: *pps,
 	}
 	if *shAware && *shards <= 1 {

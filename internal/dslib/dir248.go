@@ -50,8 +50,11 @@ func NewDir248(env *nfir.Env, defaultPort uint16, maxGroups int) *Dir248 {
 		tbl8:        make([]uint16, 0, maxGroups*dirTbl8),
 		defaultPort: defaultPort,
 	}
-	for i := range d.tbl24 {
-		d.tbl24[i] = defaultPort
+	// Fill by doubling copies: memmove speed, where an element loop over
+	// the 2^24 slots runs at the mercy of its code alignment.
+	d.tbl24[0] = defaultPort
+	for n := 1; n < len(d.tbl24); n *= 2 {
+		copy(d.tbl24[n:], d.tbl24[:n])
 	}
 	d.tbl24Addr = env.Heap.Alloc(uint64(dirTbl24) * 2)
 	d.tbl8Addr = env.Heap.Alloc(uint64(maxGroups) * dirTbl8 * 2)

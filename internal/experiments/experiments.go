@@ -53,11 +53,8 @@ type Scale struct {
 	MonitorShards int
 	MonitorBatch  int
 	// MonitorQueue is the per-shard ingest queue depth in batches
-	// (boltmon -queue; zero means the default of 4). MonitorNoRing swaps
-	// the SPSC-ring ingest hop for the channel + sync.Pool ablation
-	// (boltmon -noring); it never changes what the monitor reports.
-	MonitorQueue  int
-	MonitorNoRing bool
+	// (boltmon -queue; zero means the default of 4).
+	MonitorQueue int
 }
 
 // Generator returns the production generator configured for this scale:

@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"gobolt/internal/core"
 	"gobolt/internal/distill"
 	"gobolt/internal/monitor"
 	"gobolt/internal/nf"
-	"gobolt/internal/ring"
 	"gobolt/internal/traffic"
 )
 
@@ -98,7 +95,7 @@ func AttackDetection(sc Scale) (*AttackDetectionResult, error) {
 	mcfg := monitor.Config{
 		Trigger: 3, Clear: 8,
 		Shards: sc.MonitorShards, Batch: sc.MonitorBatch,
-		Queue: sc.MonitorQueue, NoRing: sc.MonitorNoRing,
+		Queue: sc.MonitorQueue,
 	}
 	ctx := context.Background()
 
@@ -244,39 +241,21 @@ func benchWorkload(sc Scale) (warm, meas []traffic.Packet) {
 
 // MonitorBenchRow is one monitored mode's cost in the ablation.
 type MonitorBenchRow struct {
-	// Mode is "unpooled" (the pre-pooling per-packet path: fresh
-	// observation and call-record allocations per packet), "pooled" (the
-	// serial arena-pooled fast path), or "sharded" (flow-hashed batched
-	// ingest into Shards engines).
+	// Mode is "pooled" (the serial arena-pooled fast path) or "sharded"
+	// (flow-hashed batched ingest into Shards engines).
 	Mode   string `json:"mode"`
 	Shards int    `json:"shards,omitempty"`
 	Batch  int    `json:"batch,omitempty"`
-	// Ingest is the sharded hop's transport: "ring" (the SPSC
-	// queue+freelist pair, the default) or "chan" (the Config.NoRing
-	// channel + sync.Pool ablation). Empty on serial rows.
-	Ingest string `json:"ingest,omitempty"`
 	// Queue is the per-shard ingest queue depth in batches (sharded rows
-	// only; the ring transport rounds it up to a power of two).
+	// only).
 	Queue      int     `json:"queue,omitempty"`
 	NsPkt      float64 `json:"ns_per_pkt"`
 	PPS        float64 `json:"pkts_per_sec"`
 	OverheadPc float64 `json:"overhead_pct"`
 }
 
-// HopBenchRow is one transport's raw handoff cost: a single
-// producer/consumer pair cycling pointer-sized batches through a
-// depth-4 queue with buffer recycling, no monitor work attached.
-type HopBenchRow struct {
-	Ingest string `json:"ingest"`
-	// NsHop is wall time per producer→consumer handoff.
-	NsHop float64 `json:"ns_per_handoff"`
-	// AllocsHop is heap allocations per handoff; the ring transport must
-	// report 0 — its freelist recycles without sync.Pool or GC churn.
-	AllocsHop float64 `json:"allocs_per_handoff"`
-}
-
 // MonitorBenchResult quantifies the monitor's per-packet overhead across
-// the pooling/sharding/batching/ingest ablation, against the bare replay.
+// the sharding/batching/queue-depth ablation, against the bare replay.
 type MonitorBenchResult struct {
 	Workload  string            `json:"workload"`
 	Packets   int               `json:"packets"`
@@ -284,33 +263,18 @@ type MonitorBenchResult struct {
 	BareNsPkt float64           `json:"bare_ns_per_pkt"`
 	BarePPS   float64           `json:"bare_pkts_per_sec"`
 	Rows      []MonitorBenchRow `json:"rows"`
-	// Hop isolates the ingest transports' handoff cost from the monitor
-	// work they carry.
-	Hop []HopBenchRow `json:"hop,omitempty"`
-}
-
-// Overhead returns the named row's overhead percentage (the headline
-// number is mode "pooled"; sharded rows are keyed by ingest transport
-// and queue depth too — pass "" / 0 for serial modes); ok is false when
-// the row was not measured.
-func (r MonitorBenchResult) Overhead(mode string, shards, batch int, ingest string, queue int) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Mode == mode && row.Shards == shards && row.Batch == batch &&
-			row.Ingest == ingest && row.Queue == queue {
-			return row.OverheadPc, true
-		}
-	}
-	return 0, false
 }
 
 // MonitorBench times the multi-stream bridge replay bare (distill.Runner
 // only) and under each monitor configuration of the ablation:
 //
-//   - unpooled: the per-packet path as it shipped pre-pooling (NoPool —
-//     fresh observation + call-record copies per packet),
 //   - pooled: the serial arena-pooled fast path (the default),
-//   - sharded {1,2,4} × batch 64, plus shards 2 × batch 1 as the
-//     batched-vs-unbatched ablation.
+//   - sharded {2,4} × batch 64, shards 2 × batch 1 as the
+//     batched-vs-unbatched ablation, and shards 2 at queue depths
+//     {2,8} around the default of 4.
+//
+// There is no shards=1 sharded row: Shards: 1 never starts the ingest
+// hop, so it would time the serial path again.
 //
 // Every mode replays the identical workload over a freshly warmed
 // instance and takes the best of runs passes. Note the NF execution
@@ -385,46 +349,31 @@ func MonitorBench(sc Scale, runs int) (MonitorBenchResult, error) {
 	res.BareNsPkt = float64(bareD.Nanoseconds()) / float64(n)
 	res.BarePPS = float64(n) / bareD.Seconds()
 
-	sharded := func(shards, batch, queue int, noring bool) struct {
+	type mode struct {
 		row MonitorBenchRow
 		cfg monitor.Config
-	} {
-		ingest := "ring"
-		if noring {
-			ingest = "chan"
-		}
-		return struct {
-			row MonitorBenchRow
-			cfg monitor.Config
-		}{
-			MonitorBenchRow{Mode: "sharded", Shards: shards, Batch: batch, Ingest: ingest, Queue: queue},
-			monitor.Config{Shards: shards, Batch: batch, Queue: queue, NoRing: noring},
+	}
+	sharded := func(shards, batch, queue int) mode {
+		return mode{
+			MonitorBenchRow{Mode: "sharded", Shards: shards, Batch: batch, Queue: queue},
+			monitor.Config{Shards: shards, Batch: batch, Queue: queue},
 		}
 	}
-	modes := []struct {
-		row MonitorBenchRow
-		cfg monitor.Config
-	}{
-		{MonitorBenchRow{Mode: "unpooled"}, monitor.Config{NoPool: true}},
+	modes := []mode{
 		{MonitorBenchRow{Mode: "pooled"}, monitor.Config{}},
-		// The ring-vs-channel ablation at each shard count...
-		sharded(1, 64, 4, false),
-		sharded(1, 64, 4, true),
-		sharded(2, 64, 4, false),
-		sharded(2, 64, 4, true),
-		sharded(4, 64, 4, false),
-		sharded(4, 64, 4, true),
-		// ...the batched-vs-unbatched ablation...
-		sharded(2, 1, 4, false),
+		sharded(2, 64, 4),
+		sharded(4, 64, 4),
+		// The batched-vs-unbatched ablation...
+		sharded(2, 1, 4),
 		// ...and the queue-depth sweep around the default of 4.
-		sharded(2, 64, 2, false),
-		sharded(2, 64, 8, false),
+		sharded(2, 64, 2),
+		sharded(2, 64, 8),
 	}
 	for _, m := range modes {
 		d, err := best(monitored(m.cfg))
 		if err != nil {
-			return res, fmt.Errorf("mode %s/s%d/b%d/%s/q%d: %w",
-				m.row.Mode, m.row.Shards, m.row.Batch, m.row.Ingest, m.row.Queue, err)
+			return res, fmt.Errorf("mode %s/s%d/b%d/q%d: %w",
+				m.row.Mode, m.row.Shards, m.row.Batch, m.row.Queue, err)
 		}
 		row := m.row
 		row.NsPkt = float64(d.Nanoseconds()) / float64(n)
@@ -432,115 +381,7 @@ func MonitorBench(sc Scale, runs int) (MonitorBenchResult, error) {
 		row.OverheadPc = 100 * (row.NsPkt - res.BareNsPkt) / res.BareNsPkt
 		res.Rows = append(res.Rows, row)
 	}
-	res.Hop = HopBench(runs)
 	return res, nil
-}
-
-// hopBatch stands in for the monitor's batch buffer in the handoff
-// microbenchmark: pointer-sized handoff, a cache line of payload.
-type hopBatch struct {
-	seq uint64
-	pad [7]uint64
-}
-
-// hopIters is one HopBench measurement pass; large enough that the
-// per-handoff quotient is stable, small enough to keep -bench runs fast.
-const hopIters = 200_000
-
-// HopBench isolates the sharded ingest hop: how long one
-// producer→consumer handoff takes on each transport, and how many heap
-// allocations it costs, with the monitor work stripped away. The ring
-// row must report 0 allocs — its paired freelist recycles buffers
-// without sync.Pool. Best-of-runs wall time, single measurement pass
-// for the alloc count.
-func HopBench(runs int) []HopBenchRow {
-	if runs <= 0 {
-		runs = 3
-	}
-	measure := func(f func(iters int)) (nsHop, allocsHop float64) {
-		f(hopIters / 10) // warmup: steady-state pools/freelists
-		var best time.Duration
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			f(hopIters)
-			if d := time.Since(start); i == 0 || d < best {
-				best = d
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f(hopIters)
-		runtime.ReadMemStats(&after)
-		// Integer division, the same accounting testing.B prints: setup
-		// noise (the ring itself, the consumer goroutine) must not smear a
-		// fractional alloc across a 0-alloc steady state.
-		return float64(best.Nanoseconds()) / float64(hopIters),
-			float64((after.Mallocs - before.Mallocs) / uint64(hopIters))
-	}
-
-	ringHop := func(iters int) {
-		queue, err := ring.New[*hopBatch](4)
-		if err != nil {
-			panic(err)
-		}
-		free, err := ring.New[*hopBatch](8)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < free.Cap(); i++ {
-			free.TryPush(&hopBatch{})
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				b, ok := queue.Pop()
-				if !ok {
-					return
-				}
-				free.TryPush(b)
-			}
-		}()
-		for i := 0; i < iters; i++ {
-			b, ok := free.TryPop()
-			if !ok {
-				b = &hopBatch{}
-			}
-			b.seq = uint64(i)
-			queue.Push(b)
-		}
-		queue.Close()
-		<-done
-	}
-	chanHop := func(iters int) {
-		queue := make(chan *hopBatch, 4)
-		var pool sync.Pool
-		pool.New = func() any { return &hopBatch{} }
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for b := range queue {
-				pool.Put(b)
-			}
-		}()
-		for i := 0; i < iters; i++ {
-			b := pool.Get().(*hopBatch)
-			b.seq = uint64(i)
-			queue <- b
-		}
-		close(queue)
-		<-done
-	}
-
-	rows := make([]HopBenchRow, 0, 2)
-	for _, tr := range []struct {
-		name string
-		f    func(int)
-	}{{"ring", ringHop}, {"chan", chanHop}} {
-		ns, allocs := measure(tr.f)
-		rows = append(rows, HopBenchRow{Ingest: tr.name, NsHop: ns, AllocsHop: allocs})
-	}
-	return rows
 }
 
 // RenderMonitorBench prints the overhead ablation.
@@ -552,17 +393,11 @@ func RenderMonitorBench(r MonitorBenchResult) string {
 	for _, row := range r.Rows {
 		name := "monitored " + row.Mode
 		if row.Mode == "sharded" {
-			name = fmt.Sprintf("monitored s=%d b=%d %s q=%d", row.Shards, row.Batch, row.Ingest, row.Queue)
+			name = fmt.Sprintf("monitored s=%d b=%d q=%d", row.Shards, row.Batch, row.Queue)
 		}
 		fmt.Fprintf(&b, "%-28s %12.0f %14.0f %9.1f%%\n", name, row.NsPkt, row.PPS, row.OverheadPc)
 	}
 	fmt.Fprintf(&b, "(%d packets, best of %d runs)\n", r.Packets, r.Runs)
-	if len(r.Hop) > 0 {
-		fmt.Fprintf(&b, "\ningest hop (producer→consumer handoff, no monitor work):\n")
-		for _, h := range r.Hop {
-			fmt.Fprintf(&b, "  %-6s %8.1f ns/handoff %6.0f allocs/handoff\n", h.Ingest, h.NsHop, h.AllocsHop)
-		}
-	}
 	return b.String()
 }
 

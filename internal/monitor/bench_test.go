@@ -13,19 +13,14 @@ import (
 // BenchmarkMonitoredReplay vs BenchmarkBareReplay is the per-packet
 // price of online monitoring (classification + bound evaluation +
 // streaming state); BENCH_monitor.json reports the same comparison via
-// cmd/boltmon -benchjson. The Unpooled and Sharded variants are the
-// ablation: the pre-pooling per-packet path, and the flow-hashed batched
-// fan-out.
-func BenchmarkMonitoredReplay(b *testing.B)         { benchMonitored(b, monitor.Config{}) }
-func BenchmarkMonitoredReplayUnpooled(b *testing.B) { benchMonitored(b, monitor.Config{NoPool: true}) }
+// cmd/boltmon -benchjson. The Sharded variants add the flow-hashed
+// batched fan-out.
+func BenchmarkMonitoredReplay(b *testing.B) { benchMonitored(b, monitor.Config{}) }
 func BenchmarkMonitoredReplaySharded2(b *testing.B) {
 	benchMonitored(b, monitor.Config{Shards: 2, Batch: 64})
 }
 func BenchmarkMonitoredReplaySharded4(b *testing.B) {
 	benchMonitored(b, monitor.Config{Shards: 4, Batch: 64})
-}
-func BenchmarkMonitoredReplaySharded2Chan(b *testing.B) {
-	benchMonitored(b, monitor.Config{Shards: 2, Batch: 64, NoRing: true})
 }
 
 func benchMonitored(b *testing.B, cfg monitor.Config) {

@@ -2,23 +2,31 @@ package monitor_test
 
 import (
 	"context"
+	"errors"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"gobolt/internal/core"
 	"gobolt/internal/experiments"
 	"gobolt/internal/monitor"
 	"gobolt/internal/traffic"
 )
 
-// This file pins the sharded ingest hop itself: the lock-free SPSC
-// ring backend against its channel ablation (Config.NoRing), the queue
-// depth and flush-stall levers' absence from report semantics, and the
-// adaptive flush's bounded detection delay.
+// This file pins the sharded ingest hop itself: its absence from
+// report semantics against the synchronous Observe path, the queue
+// depth and flush-stall levers' absence likewise, close/drain when a
+// Run is cancelled mid-stream, and the adaptive flush's bounded
+// detection delay.
 
 // straddlingWorkload builds a warm/measure pair whose eight UDP flows
-// deliberately straddle shards at every shard count — identity between
-// the two ingest backends must hold on ANY trace (same routing, same
-// per-shard order), not just stream-consistent ones.
+// deliberately straddle shards at every shard count — the hop must be
+// invisible on ANY trace (same routing, same per-shard order), not just
+// stream-consistent ones.
 func straddlingWorkload() (warm, meas []traffic.Packet) {
 	streams := traffic.UDPStreams(traffic.StreamConfig{Streams: 8, PacketsPerStream: 40, Seed: 3})
 	var warmStreams, measStreams [][]traffic.Packet
@@ -31,29 +39,27 @@ func straddlingWorkload() (warm, meas []traffic.Packet) {
 	return warm, meas
 }
 
-// TestRingChannelReportIdentity pins the tentpole's semantic bar: the
-// SPSC-ring ingest and the channel ingest produce byte-identical
-// reports at every shard count, on a workload whose classes straddle
-// shards. The hop is a transport, not a detector.
-func TestRingChannelReportIdentity(t *testing.T) {
+// TestIngestHopReportIdentity pins that the batched channel hop is a
+// transport, not a detector: at every shard count, on a workload whose
+// classes straddle shards, the sharded Run's report is byte-identical
+// to driving the same sharded monitor synchronously through Observe.
+func TestIngestHopReportIdentity(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
 	warm, meas := straddlingWorkload()
 	for _, shards := range shardCounts {
-		_, ringRep := runMonitored(t, rebuildRoster(t, "nat"), ct,
-			monitor.Config{Shards: shards, Budget: 600}, warm, meas)
-		_, chanRep := runMonitored(t, rebuildRoster(t, "nat"), ct,
-			monitor.Config{Shards: shards, Budget: 600, NoRing: true}, warm, meas)
-		if ringRep != chanRep {
-			t.Errorf("shards=%d: ring and channel ingest reports differ\nring:\n%s\nchannel:\n%s",
-				shards, ringRep, chanRep)
+		cfg := monitor.Config{Shards: shards, Budget: 600}
+		_, hop := runMonitored(t, rebuildRoster(t, "nat"), ct, cfg, warm, meas)
+		observed := runObserved(t, rebuildRoster(t, "nat"), ct, cfg, warm, meas)
+		if hop != observed {
+			t.Errorf("shards=%d: batched Run and synchronous Observe reports differ\nrun:\n%s\nobserve:\n%s",
+				shards, hop, observed)
 		}
 	}
 }
 
-// TestQueueDepthAndFlushStallInvariance pins that the new ingest
-// levers — queue depth (including the ring's power-of-two rounding)
-// and the adaptive flush threshold, on both backends — never appear in
-// the merged output. FlushStall=1 degenerates nearly every batch to a
+// TestQueueDepthAndFlushStallInvariance pins that the ingest levers —
+// queue depth and the adaptive flush threshold — never appear in the
+// merged output. FlushStall=1 degenerates nearly every batch to a
 // partial handoff; the report must not care.
 func TestQueueDepthAndFlushStallInvariance(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
@@ -62,13 +68,11 @@ func TestQueueDepthAndFlushStallInvariance(t *testing.T) {
 	for _, cfg := range []monitor.Config{
 		{Shards: 4},
 		{Shards: 4, Queue: 1},
-		{Shards: 4, Queue: 3}, // rounds up to 4 slots
+		{Shards: 4, Queue: 3},
 		{Shards: 4, Queue: 64},
-		{Shards: 4, Queue: 1, NoRing: true},
-		{Shards: 4, Queue: 64, NoRing: true},
 		{Shards: 4, FlushStall: 1},
 		{Shards: 4, FlushStall: 7},
-		{Shards: 4, FlushStall: 1, NoRing: true},
+		{Shards: 4, Queue: 1, FlushStall: 1},
 		{Shards: 4, Batch: 5, Queue: 2, FlushStall: 3},
 	} {
 		_, got := runMonitored(t, rebuildRoster(t, "nat"), ct, cfg, warm, meas)
@@ -79,6 +83,114 @@ func TestQueueDepthAndFlushStallInvariance(t *testing.T) {
 		if got != want {
 			t.Errorf("config %+v report differs\nfirst:\n%s\nthis:\n%s", cfg, want, got)
 		}
+	}
+}
+
+// classPacketsRe reads a Report class row's packet count.
+var classPacketsRe = regexp.MustCompile(`(?m)^  class .* pkts +(\d+) `)
+
+// TestShardRunCancelDrains cancels a sharded Run from a shard worker
+// mid-stream and pins the close/drain contract: Run reports the
+// cancellation, every packet ingested before it was classified (the
+// partial batches were flushed, the queues closed and drained), the
+// monitor stays usable for another Run, and no shard goroutine
+// outlives its Run.
+func TestShardRunCancelDrains(t *testing.T) {
+	_, ct := buildRoster(t, "nat")
+	_, flows := straddlingWorkload()
+	// A lone leading frame owns shard 3 and, with the adaptive flush
+	// off, sits in a partial batch until the Run's final flush: a Run
+	// that drops its pending batches misses it.
+	lone := traffic.NonIPv4(0, 0)
+	meas := append([]traffic.Packet{lone}, flows...)
+	loneKey := monitor.FlowKey(lone.Data, lone.InPort)
+	inst := rebuildRoster(t, "nat")
+	baseline := runtime.NumGoroutine()
+
+	// Small batches and a one-batch queue keep the replay within a few
+	// dozen packets of the shards, so the cancel lands mid-trace.
+	const cancelAt = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var classified atomic.Int64
+	mon, err := monitor.New(ct, monitor.Config{
+		Shards: 4, Batch: 4, Queue: 1, FlushStall: 1 << 20,
+		FlowHash: func(pkt []byte, inPort uint64) uint64 {
+			if k := monitor.FlowKey(pkt, inPort); k != loneKey {
+				return k % 3
+			}
+			return 3
+		},
+		OnClassify: func(*core.PacketObservation, *core.PathContract) {
+			if classified.Add(1) == cancelAt {
+				cancel()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run fails the test instead of hanging when a Run never returns
+	// (a queue left open leaves finishIngest waiting on its workers).
+	run := func(ctx context.Context) error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := mon.Run(ctx, inst, meas)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(time.Minute):
+			t.Fatal("sharded Run did not return")
+			return nil
+		}
+	}
+	drained := func(what string) {
+		t.Helper()
+		report := mon.Report()
+		sum := mon.Unclassified()
+		for _, m := range classPacketsRe.FindAllStringSubmatch(report, -1) {
+			n, err := strconv.Atoi(m[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += n
+		}
+		if sum != mon.Packets() {
+			t.Errorf("%s: class packets + unclassified = %d, ingested %d\n%s", what, sum, mon.Packets(), report)
+		}
+		if got := classified.Load(); got != int64(mon.Packets()) {
+			t.Errorf("%s: %d packets classified, %d ingested", what, got, mon.Packets())
+		}
+	}
+
+	err = run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run returned %v, want an error wrapping context.Canceled", err)
+	}
+	if n := mon.Packets(); n < cancelAt || n >= len(meas) {
+		t.Fatalf("cancelled Run ingested %d of %d packets; the cancel did not land mid-stream", n, len(meas))
+	}
+	drained("cancelled Run")
+	first := mon.Packets()
+
+	if err := run(context.Background()); err != nil {
+		t.Fatalf("second Run on the cancelled monitor: %v", err)
+	}
+	if got := mon.Packets(); got != first+len(meas) {
+		t.Errorf("second Run: %d packets total, want %d", got, first+len(meas))
+	}
+	drained("second Run")
+
+	// Shard workers signal the WaitGroup just before they exit, so give
+	// the scheduler a moment to retire them.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after both Runs, %d before: shard workers leaked", n, baseline)
 	}
 }
 

@@ -126,9 +126,10 @@ type Config struct {
 
 	// Shards splits classification across this many flow-hashed shards
 	// (default 1 — the serial monitor). Each shard owns its own
-	// classifier scratch, per-class ring/P²/hysteresis state and
-	// compiled-bound value vector; Run feeds them fixed-size batches over
-	// buffered channels, and Report/Alerts merge shard states
+	// classifier scratch, per-class window/P²/hysteresis state and
+	// compiled-bound value vector; Run feeds each shard fixed-size
+	// batches over its own channel, recycling drained batches back over
+	// a per-shard free channel, and Report/Alerts merge shard states
 	// deterministically (classes by label, alerts by packet index). On a
 	// trace whose flows are stream-consistent — every input class's
 	// packets hash to one shard — the merged output is byte-identical to
@@ -138,10 +139,9 @@ type Config struct {
 	// 1 hands every packet off individually). Batch size never changes
 	// the merged output, only the amortization of the handoff.
 	Batch int
-	// Queue is each shard's ingest queue depth in batches (default 4).
-	// The ring backend rounds it up to a power of two. Like Batch it is
-	// invisible in the merged output; it trades producer stalls against
-	// buffered memory.
+	// Queue is each shard's ingest channel depth in batches (default 4,
+	// used as given). Like Batch it is invisible in the merged output; it
+	// trades producer stalls against buffered memory.
 	Queue int
 	// FlushStall bounds the adaptive flush: a partially-filled batch is
 	// handed off once FlushStall further packets have been ingested
@@ -152,22 +152,11 @@ type Config struct {
 	// Never changes the merged output, only when alerts fire relative to
 	// ingest.
 	FlushStall int
-	// NoRing carries the sharded hop over buffered channels with
-	// sync.Pool batch recycling — the PR-7 ingest path, kept as the
-	// measured ablation for the lock-free SPSC ring + freelist pair
-	// that is now the default. Absent from report semantics: routing,
-	// per-shard order, and the merged output are identical either way.
-	NoRing bool
 	// FlowHash overrides the RSS-style flow hash assigning packets to
 	// shards (default FlowKey). Packets with equal hashes share a shard;
 	// the merge-layer identity guarantee is conditional on the hash
 	// keeping each input class on one shard.
 	FlowHash func(pkt []byte, inPort uint64) uint64
-	// NoPool disables the pooled allocation-free fast path (reused
-	// observations, arena-backed call records, keyed classification) and
-	// replays the original per-packet allocating path — the ablation
-	// lever monitorbench uses. Serial only.
-	NoPool bool
 	// ShardAware prices the deployment's parallelism into the checks:
 	// with S = Shards > 1, the cycle bound each packet is held to
 	// becomes the contract's shard-aware bound (base plus the
@@ -259,9 +248,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 	if cfg.FlowHash == nil {
 		cfg.FlowHash = FlowKey
 	}
-	if cfg.NoPool && cfg.Shards > 1 {
-		return nil, fmt.Errorf("monitor: NoPool is a serial-only ablation (got %d shards)", cfg.Shards)
-	}
 	shardAware := cfg.ShardAware && cfg.Shards > 1
 	if cfg.Budget == 0 && cfg.ClockHz > 0 && cfg.TargetPPS > 0 {
 		cfg.Metric = perf.Cycles
@@ -335,9 +321,6 @@ func New(ct *core.Contract, cfg Config) (*Monitor, error) {
 // With Shards > 1 the classification work drains through the shard
 // goroutines and is fully merged before Run returns.
 func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]distill.Record, error) {
-	if m.cfg.NoPool {
-		return m.runUnpooled(ctx, inst, pkts)
-	}
 	restore := core.AttachCallLog(inst.Env, &m.log)
 	defer restore()
 	m.log.Reset()
@@ -357,21 +340,6 @@ func (m *Monitor) Run(ctx context.Context, inst *nf.Instance, pkts []traffic.Pac
 	recs, err := m.runner.RunContext(ctx, inst, pkts)
 	m.finishIngest()
 	return recs, err
-}
-
-// runUnpooled is the pre-pooling per-packet path, kept verbatim as the
-// monitorbench ablation baseline: a fresh observation and copied call
-// records per packet, string-keyed classification.
-func (m *Monitor) runUnpooled(ctx context.Context, inst *nf.Instance, pkts []traffic.Packet) ([]distill.Record, error) {
-	var calls []core.CallRecord
-	restore := core.AttachRecorder(inst.Env, &calls)
-	defer restore()
-	m.runner.Observer = func(_ int, pkt traffic.Packet, rec *distill.Record) {
-		m.Observe(pkt, rec, calls)
-		calls = calls[:0]
-	}
-	defer func() { m.runner.Observer = nil }()
-	return m.runner.RunContext(ctx, inst, pkts)
 }
 
 // Warm replays a workload with monitoring off: the instance's state and

@@ -7,7 +7,6 @@ import (
 	"gobolt/internal/distill"
 	"gobolt/internal/nfir"
 	"gobolt/internal/perf"
-	"gobolt/internal/ring"
 	"gobolt/internal/traffic"
 )
 
@@ -123,13 +122,7 @@ func (e *engine) observe(idx int, obs *core.PacketObservation, ic, ma, cycles ui
 	m := e.m
 	e.packets++
 
-	var path *core.PathContract
-	var ok bool
-	if m.cfg.NoPool {
-		path, ok = e.cls.Classify(obs)
-	} else {
-		path, ok = e.cls.ClassifyKeyed(obs, &e.keyBuf)
-	}
+	path, ok := e.cls.ClassifyKeyed(obs, &e.keyBuf)
 	if m.cfg.OnClassify != nil {
 		m.cfg.OnClassify(obs, path)
 	}
@@ -285,7 +278,7 @@ type pObs struct {
 }
 
 // batch is a fixed-size packet batch bound for one shard. Batches are
-// pooled: reset keeps the observation slice and the call-record arenas.
+// recycled: reset keeps the observation slice and the call-record arenas.
 type batch struct {
 	obs  []pObs
 	logs core.CallLog
@@ -296,18 +289,10 @@ func (b *batch) reset() {
 	b.logs.Reset()
 }
 
-// ingester is the batched fan-out state for one sharded Run: a queue
-// and worker goroutine per shard, the under-construction batch per
-// shard, and the adaptive-flush bookkeeping. Two interchangeable
-// backends carry the hop — identical routing, per-shard order, and
-// merged output either way (TestRingChannelReportIdentity):
-//
-//   - the default is a lock-free SPSC ring per shard paired with an
-//     SPSC freelist ring recycling batch buffers consumer→producer, so
-//     the steady-state hop crosses no mutex, no sync.Pool, and feeds
-//     the GC nothing (DESIGN.md §5j);
-//   - Config.NoRing keeps the PR-7 buffered-channel + sync.Pool path
-//     as the measured ablation.
+// ingester is the batched fan-out state for one sharded Run: a batch
+// channel and worker goroutine per shard, a free channel per shard
+// recycling drained batches worker→replay, the under-construction batch
+// per shard, and the adaptive-flush bookkeeping (DESIGN.md §5j).
 type ingester struct {
 	m    *Monitor
 	pend []*batch
@@ -318,14 +303,10 @@ type ingester struct {
 	probe   int
 	partial int // batches handed off by the adaptive flush
 
-	// ring backend: queues carry filled batches replay→shard, frees
-	// recycle emptied buffers shard→replay.
-	queues []*ring.SPSC[*batch]
-	frees  []*ring.SPSC[*batch]
-
-	// channel backend (Config.NoRing).
-	chans []chan *batch
-	pool  sync.Pool
+	// queues carry filled batches replay→shard, Config.Queue deep; frees
+	// return drained ones shard→replay.
+	queues []chan *batch
+	frees  []chan *batch
 
 	wg sync.WaitGroup
 }
@@ -333,63 +314,34 @@ type ingester struct {
 func (m *Monitor) startIngest() {
 	n := len(m.engines)
 	ing := &ingester{
-		m:     m,
-		pend:  make([]*batch, n),
-		start: make([]int, n),
+		m:      m,
+		pend:   make([]*batch, n),
+		start:  make([]int, n),
+		queues: make([]chan *batch, n),
+		frees:  make([]chan *batch, n),
 	}
 	for i := range ing.start {
 		ing.start[i] = -1
 	}
-	if m.cfg.NoRing {
-		ing.chans = make([]chan *batch, n)
-		ing.pool.New = func() any { return &batch{} }
-		for i, e := range m.engines {
-			ch := make(chan *batch, m.cfg.Queue)
-			ing.chans[i] = ch
-			ing.wg.Add(1)
-			go func(e *engine, ch chan *batch) {
-				defer ing.wg.Done()
-				for b := range ch {
-					for j := range b.obs {
-						e.observeP(&b.obs[j])
-					}
-					b.reset()
-					ing.pool.Put(b)
-				}
-			}(e, ch)
-		}
-		m.ing = ing
-		return
-	}
-	ing.queues = make([]*ring.SPSC[*batch], n)
-	ing.frees = make([]*ring.SPSC[*batch], n)
 	for i, e := range m.engines {
-		q, err := ring.New[*batch](m.cfg.Queue)
-		if err != nil {
-			panic(err) // New validated Queue <= maxQueue <= ring.MaxCap
-		}
-		// The freelist holds every buffer the shard can have in flight:
-		// the queue's worth, the pending one, and the one being drained.
-		f, err := ring.New[*batch](q.Cap() + 2)
-		if err != nil {
-			panic(err)
-		}
+		// Queue is the configured backpressure depth. The free channel
+		// holds every buffer the shard can have in flight: the queue's
+		// worth, the pending one, and the one being drained.
+		q := make(chan *batch, m.cfg.Queue)
+		f := make(chan *batch, m.cfg.Queue+2)
 		ing.queues[i], ing.frees[i] = q, f
 		ing.wg.Add(1)
-		go func(e *engine, q, f *ring.SPSC[*batch]) {
+		go func(e *engine, q <-chan *batch, f chan<- *batch) {
 			defer ing.wg.Done()
-			for {
-				b, ok := q.Pop()
-				if !ok {
-					return
-				}
+			for b := range q {
 				for j := range b.obs {
 					e.observeP(&b.obs[j])
 				}
 				b.reset()
-				// A full freelist (impossible by capacity, but cheap to
-				// tolerate) drops the buffer to the GC.
-				f.TryPush(b)
+				select {
+				case f <- b:
+				default: // full by capacity only on a bug; let the GC have it
+				}
 			}
 		}(e, q, f)
 	}
@@ -407,30 +359,23 @@ func (e *engine) observeP(po *pObs) {
 }
 
 // acquire returns an empty batch for a shard: recycled off the shard's
-// freelist ring (or the shared pool on the channel backend), freshly
-// allocated only when nothing has come back yet.
+// free channel, freshly allocated only when nothing has come back yet.
 func (ing *ingester) acquire(sh int) *batch {
-	if ing.chans != nil {
-		return ing.pool.Get().(*batch)
-	}
-	if b, ok := ing.frees[sh].TryPop(); ok {
+	select {
+	case b := <-ing.frees[sh]:
 		return b
+	default:
+		return &batch{}
 	}
-	return &batch{}
 }
 
-// handoff publishes a shard's pending batch to its worker. Push blocks
-// (spin, then park) when the shard is Queue batches behind — the same
-// backpressure the buffered channel applies.
+// handoff publishes a shard's pending batch to its worker, blocking
+// while the shard is Queue batches behind.
 func (ing *ingester) handoff(sh int) {
 	b := ing.pend[sh]
 	ing.pend[sh] = nil
 	ing.start[sh] = -1
-	if ing.chans != nil {
-		ing.chans[sh] <- b
-		return
-	}
-	ing.queues[sh].Push(b)
+	ing.queues[sh] <- b
 }
 
 // enqueue adds one measured packet to its shard's pending batch,
@@ -488,14 +433,8 @@ func (m *Monitor) finishIngest() {
 		}
 		ing.pend[sh] = nil
 	}
-	if ing.chans != nil {
-		for _, ch := range ing.chans {
-			close(ch)
-		}
-	} else {
-		for _, q := range ing.queues {
-			q.Close()
-		}
+	for _, q := range ing.queues {
+		close(q)
 	}
 	ing.wg.Wait()
 	m.partialFlushes += ing.partial

@@ -101,6 +101,36 @@ func runMonitored(t *testing.T, inst *nf.Instance, ct *core.Contract, cfg monito
 	return mon, mon.Report()
 }
 
+// runObserved is runMonitored's synchronous twin: it warms a fresh
+// monitor the same way, then drives meas through Observe from its own
+// runner with a plain call recorder — no pooled observation, no call-log
+// arena, no batches, no shard goroutines. It is the reference the
+// pooled serial path and the sharded ingest hop are pinned against.
+func runObserved(t *testing.T, inst *nf.Instance, ct *core.Contract, cfg monitor.Config, warm, meas []traffic.Packet) string {
+	t.Helper()
+	ctx := context.Background()
+	mon, err := monitor.New(ct, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm) > 0 {
+		if err := mon.Warm(ctx, inst, warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls []core.CallRecord
+	restore := core.AttachRecorder(inst.Env, &calls)
+	defer restore()
+	runner := &distill.Runner{Observer: func(_ int, pkt traffic.Packet, rec *distill.Record) {
+		mon.Observe(pkt, rec, calls)
+		calls = calls[:0]
+	}}
+	if _, err := runner.RunContext(ctx, inst, meas); err != nil {
+		t.Fatal(err)
+	}
+	return mon.Report()
+}
+
 // TestShardReportIdentityStreamConsistent pins the merge layer's
 // headline guarantee across the roster: on stream-consistent traces the
 // sharded Report() is byte-identical to the serial monitor's at every
@@ -206,14 +236,7 @@ func TestShardAttackReportIdentity(t *testing.T) {
 // identical report, even on a workload whose classes straddle shards.
 func TestShardBatchInvariance(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
-	streams := traffic.UDPStreams(traffic.StreamConfig{Streams: 8, PacketsPerStream: 40, Seed: 3})
-	var warmStreams, measStreams [][]traffic.Packet
-	for _, s := range streams {
-		warmStreams = append(warmStreams, s[:10])
-		measStreams = append(measStreams, s[10:])
-	}
-	warm := traffic.Interleave(1, 1_000, 1_000, warmStreams...)
-	meas := traffic.Interleave(2, 1_000+uint64(len(warm))*1_000, 1_000, measStreams...)
+	warm, meas := straddlingWorkload()
 
 	var want string
 	for _, batch := range []int{1, 7, 64} {
@@ -230,33 +253,16 @@ func TestShardBatchInvariance(t *testing.T) {
 
 	// Synchronous ingest: drive the same sharded monitor through Observe
 	// (no batches, no shard goroutines — routing and state only).
-	inst := rebuildRoster(t, "nat")
-	mon, err := monitor.New(ct, monitor.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := mon.Warm(ctx, inst, warm); err != nil {
-		t.Fatal(err)
-	}
-	var calls []core.CallRecord
-	restore := core.AttachRecorder(inst.Env, &calls)
-	defer restore()
-	runner := &distill.Runner{Observer: func(_ int, pkt traffic.Packet, rec *distill.Record) {
-		mon.Observe(pkt, rec, calls)
-		calls = calls[:0]
-	}}
-	if _, err := runner.RunContext(ctx, inst, meas); err != nil {
-		t.Fatal(err)
-	}
-	if got := mon.Report(); got != want {
+	got := runObserved(t, rebuildRoster(t, "nat"), ct, monitor.Config{Shards: 4}, warm, meas)
+	if got != want {
 		t.Errorf("Observe-driven ingest differs from batched Run\nbatched:\n%s\nobserve:\n%s", want, got)
 	}
 }
 
-// TestPooledMatchesUnpooled pins the pooled fast path against the
-// original allocating path: the default Run, the NoPool ablation, and
-// they must agree byte-for-byte on the same workload.
+// TestPooledMatchesUnpooled pins the serial Run — reused observation,
+// call-log arena, keyed classification — against the allocating
+// Observe-driven path: they must agree byte-for-byte on the same
+// workload.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	_, ct := buildRoster(t, "nat")
 	streams := traffic.UDPStreams(traffic.StreamConfig{Streams: 4, PacketsPerStream: 50, Seed: 8})
@@ -269,7 +275,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	meas := traffic.Interleave(5, 1_000+uint64(len(warm))*1_000, 1_000, measStreams...)
 
 	_, pooled := runMonitored(t, rebuildRoster(t, "nat"), ct, monitor.Config{Budget: 600}, warm, meas)
-	_, unpooled := runMonitored(t, rebuildRoster(t, "nat"), ct, monitor.Config{Budget: 600, NoPool: true}, warm, meas)
+	unpooled := runObserved(t, rebuildRoster(t, "nat"), ct, monitor.Config{Budget: 600}, warm, meas)
 	if pooled != unpooled {
 		t.Errorf("pooled and unpooled reports differ\npooled:\n%s\nunpooled:\n%s", pooled, unpooled)
 	}
@@ -328,10 +334,10 @@ func TestCalibrateMetricAgreement(t *testing.T) {
 // (every class's packets landed on one shard), the entire report must be
 // byte-identical.
 func FuzzShardMerge(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), uint8(12), true, false, uint8(0))
-	f.Add(int64(7), uint8(4), uint8(1), uint8(30), false, true, uint8(1))
-	f.Add(int64(42), uint8(8), uint8(5), uint8(8), true, false, uint8(3))
-	f.Add(int64(99), uint8(3), uint8(2), uint8(20), false, true, uint8(64))
+	f.Add(int64(1), uint8(2), uint8(3), uint8(12), true, uint8(0))
+	f.Add(int64(7), uint8(4), uint8(1), uint8(30), false, uint8(1))
+	f.Add(int64(42), uint8(8), uint8(5), uint8(8), true, uint8(3))
+	f.Add(int64(99), uint8(3), uint8(2), uint8(20), false, uint8(64))
 
 	sc := experiments.QuickScale()
 	inst0, err := nf.Build("nat", nf.BuildParams{Capacity: sc.TableCapacity})
@@ -344,7 +350,7 @@ func FuzzShardMerge(f *testing.F) {
 	}
 	ctx := context.Background()
 
-	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted, noring bool, queueIn uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, shardsIn, streamsIn, perStreamIn uint8, budgeted bool, queueIn uint8) {
 		shards := int(shardsIn)%8 + 1
 		nStreams := int(streamsIn)%6 + 1
 		perStream := int(perStreamIn)%28 + 4
@@ -375,12 +381,12 @@ func FuzzShardMerge(f *testing.F) {
 			}
 			classes := make(map[int]string)
 			idx := 0
-			// The ingest backend and queue depth are transport knobs; the
-			// serial baseline never sees them, so any divergence they cause
-			// fails the merge oracle below.
+			// Queue depth is a transport knob; the serial baseline never
+			// sees it, so any divergence it causes fails the merge oracle
+			// below.
 			cfg := monitor.Config{
 				Shards: shardCount, Budget: budget, Batch: 8,
-				NoRing: noring, Queue: int(queueIn)%9 + 1,
+				Queue: int(queueIn)%9 + 1,
 			}
 			if shardCount <= 1 {
 				cfg.OnClassify = func(_ *core.PacketObservation, path *core.PathContract) {
